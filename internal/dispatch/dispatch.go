@@ -567,11 +567,7 @@ func (c *Coordinator) runLocal(ctx context.Context, pt point) (*pipeline.Result,
 	}
 	defer func() { <-c.localSem }()
 	if pt.ckpt != nil {
-		m, err := pipeline.Restore(pt.cfg, pt.ckpt)
-		if err != nil {
-			return nil, err
-		}
-		return m.RunContext(ctx)
+		return sample.RunWindow(ctx, pt.cfg, pt.ckpt)
 	}
 	return loosesim.RunContext(ctx, pt.cfg)
 }

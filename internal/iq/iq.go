@@ -31,12 +31,6 @@ type Queue struct {
 	cfg       Config
 	byCluster [][]*uop.UOp
 	count     int
-
-	inserted     uint64
-	occupancySum uint64
-	retainedSum  uint64
-	samples      uint64
-	fullStalls   uint64
 }
 
 // New returns an empty queue.
@@ -54,20 +48,18 @@ func New(cfg Config) *Queue {
 	return q
 }
 
-// Config returns the queue configuration.
-func (q *Queue) Config() Config { return q.cfg }
-
 // Len returns the number of occupied entries.
 func (q *Queue) Len() int { return q.count }
-
-// Free returns the number of unoccupied entries.
-func (q *Queue) Free() int { return q.cfg.Entries - q.count }
 
 // Full reports whether the queue has no free entries.
 func (q *Queue) Full() bool { return q.count >= q.cfg.Entries }
 
-// ClusterLen returns the number of entries slotted to cluster c.
-func (q *Queue) ClusterLen(c int) int { return len(q.byCluster[c]) }
+// ClusterEntries returns cluster c's entry list in age order. The slice
+// is the queue's own storage — callers must treat it as read-only. It
+// exists for the machine's snapshot encoder, which serializes the lists
+// as live-uop indices and rebuilds them through Insert on restore; the
+// lists are the queue's only state.
+func (q *Queue) ClusterEntries(c int) []*uop.UOp { return q.byCluster[c] }
 
 // LeastLoadedCluster returns the cluster with the fewest queue entries,
 // breaking ties toward lower indices. This is the decode-time slotting
@@ -83,10 +75,9 @@ func (q *Queue) LeastLoadedCluster() int {
 }
 
 // Insert places u (already slotted to u.Cluster) into the queue. It returns
-// false, counting a structural stall, if the queue is full.
+// false if the queue is full.
 func (q *Queue) Insert(u *uop.UOp) bool {
 	if q.Full() {
-		q.fullStalls++
 		return false
 	}
 	if u.Cluster < 0 || u.Cluster >= q.cfg.Clusters {
@@ -98,7 +89,6 @@ func (q *Queue) Insert(u *uop.UOp) bool {
 	// simlint:prealloc cluster lists sized to Entries at construction
 	q.byCluster[u.Cluster] = append(q.byCluster[u.Cluster], u)
 	q.count++
-	q.inserted++
 	u.InIQ = true
 	return true
 }
@@ -133,20 +123,10 @@ func (q *Queue) SelectOldestReady(c int, ready func(*uop.UOp) bool) *uop.UOp {
 	return nil
 }
 
-// ForEach visits every queue entry in cluster-major, age-minor order.
-func (q *Queue) ForEach(f func(*uop.UOp)) {
-	for _, list := range q.byCluster {
-		for _, u := range list {
-			f(u)
-		}
-	}
-}
-
 // Retained returns the number of entries held by instructions that have
 // issued (or completed) but whose entries have not yet been reclaimed —
-// the IQ-pressure population.
-// Iterating the cluster lists directly (rather than via ForEach) keeps the
-// per-cycle sampling path closure-free.
+// the IQ-pressure population. Iterating the cluster lists directly keeps
+// the per-cycle sampling path closure-free.
 func (q *Queue) Retained() int {
 	n := 0
 	for _, list := range q.byCluster {
@@ -158,34 +138,3 @@ func (q *Queue) Retained() int {
 	}
 	return n
 }
-
-// Sample records one cycle's occupancy for the pressure statistics.
-func (q *Queue) Sample() {
-	q.samples++
-	q.occupancySum += uint64(q.count)
-	q.retainedSum += uint64(q.Retained())
-}
-
-// MeanOccupancy returns the average sampled occupancy.
-func (q *Queue) MeanOccupancy() float64 {
-	if q.samples == 0 {
-		return 0
-	}
-	return float64(q.occupancySum) / float64(q.samples)
-}
-
-// MeanRetained returns the average sampled count of issued-but-retained
-// entries — the paper's "already issued instructions ... waiting for the
-// load to resolve" population.
-func (q *Queue) MeanRetained() float64 {
-	if q.samples == 0 {
-		return 0
-	}
-	return float64(q.retainedSum) / float64(q.samples)
-}
-
-// FullStalls returns the number of rejected inserts.
-func (q *Queue) FullStalls() uint64 { return q.fullStalls }
-
-// Inserted returns the number of successful inserts.
-func (q *Queue) Inserted() uint64 { return q.inserted }

@@ -22,7 +22,7 @@ func TestInsertRemove(t *testing.T) {
 	if !q.Insert(u) {
 		t.Fatal("insert into empty queue failed")
 	}
-	if !u.InIQ || q.Len() != 1 || q.ClusterLen(0) != 1 {
+	if !u.InIQ || q.Len() != 1 || len(q.ClusterEntries(0)) != 1 {
 		t.Error("bookkeeping after insert wrong")
 	}
 	q.Remove(u)
@@ -42,11 +42,8 @@ func TestFullRejects(t *testing.T) {
 	if q.Insert(mk(3, 0)) {
 		t.Error("full queue must reject")
 	}
-	if q.FullStalls() != 1 {
-		t.Errorf("fullStalls = %d, want 1", q.FullStalls())
-	}
-	if !q.Full() || q.Free() != 0 {
-		t.Error("Full/Free inconsistent")
+	if !q.Full() || q.Len() != 2 {
+		t.Error("Full/Len inconsistent")
 	}
 }
 
@@ -127,21 +124,9 @@ func TestRetainedAndSampling(t *testing.T) {
 	if q.Retained() != 1 {
 		t.Errorf("retained = %d, want 1", q.Retained())
 	}
-	q.Sample()
 	b.State = uop.StateDone
-	q.Sample()
-	if got := q.MeanOccupancy(); got != 2 {
-		t.Errorf("mean occupancy = %v, want 2", got)
-	}
-	if got := q.MeanRetained(); got != 1.5 {
-		t.Errorf("mean retained = %v, want 1.5", got)
-	}
-}
-
-func TestEmptyStats(t *testing.T) {
-	q := New(Config{Entries: 2, Clusters: 1})
-	if q.MeanOccupancy() != 0 || q.MeanRetained() != 0 {
-		t.Error("unsampled means must be 0")
+	if q.Retained() != 2 {
+		t.Errorf("retained = %d, want 2", q.Retained())
 	}
 }
 
@@ -166,7 +151,7 @@ func TestBadClusterPanics(t *testing.T) {
 }
 
 // Property: after any insert/remove sequence, Len equals the sum of cluster
-// lengths, never exceeds capacity, and ForEach visits exactly Len entries.
+// lengths and never exceeds capacity.
 func TestOccupancyInvariantProperty(t *testing.T) {
 	f := func(seed int64, steps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -187,11 +172,9 @@ func TestOccupancyInvariantProperty(t *testing.T) {
 			}
 			sum := 0
 			for c := 0; c < 3; c++ {
-				sum += q.ClusterLen(c)
+				sum += len(q.ClusterEntries(c))
 			}
-			visits := 0
-			q.ForEach(func(*uop.UOp) { visits++ })
-			if q.Len() != sum || q.Len() != len(live) || q.Len() > 8 || visits != q.Len() {
+			if q.Len() != sum || q.Len() != len(live) || q.Len() > 8 {
 				return false
 			}
 		}

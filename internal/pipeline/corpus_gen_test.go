@@ -12,7 +12,7 @@ import (
 
 // TestRegenFuzzCorpus rewrites the committed seed corpus for
 // FuzzSnapshotRoundTrip. It is a no-op unless LOOSIM_REGEN_CORPUS=1: run
-// it after any snapshot format change (bump of machineSnapVersion, new
+// it after any snapshot format change (bump of snapVersion, new
 // payload fields) so the checked-in seeds decode under the new codec.
 //
 //	LOOSIM_REGEN_CORPUS=1 go test ./internal/pipeline -run TestRegenFuzzCorpus

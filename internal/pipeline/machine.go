@@ -117,10 +117,6 @@ type Machine struct {
 	dead       []deadRecord
 	deadHead   int
 	srcReadyFn func(*uop.UOp) bool
-
-	// genDonor, when non-nil during restorePayload, is a consumed machine
-	// whose generators seed the replay fast-forward (see RestoreReusing).
-	genDonor *Machine
 }
 
 // deadRecord is one retired or squashed uop awaiting reuse: at is the first

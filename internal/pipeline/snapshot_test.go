@@ -3,10 +3,12 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
 
+	"loosesim/internal/isa"
 	"loosesim/internal/snap"
 	"loosesim/internal/workload"
 )
@@ -213,8 +215,12 @@ func TestWarmForwardAdvancesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.WarmForward(50_000)
-	if got := m.Warmed(); got != 50_000 {
-		t.Fatalf("Warmed() = %d, want 50000", got)
+	var warmed uint64
+	for _, th := range m.threads {
+		warmed += th.gen.Generated()
+	}
+	if warmed != 50_000 {
+		t.Fatalf("generators advanced %d instructions, want 50000", warmed)
 	}
 	if m.Cycle() != 0 || m.Retired() != 0 {
 		t.Fatalf("warming ran the pipeline: cycle %d, retired %d", m.Cycle(), m.Retired())
@@ -254,69 +260,49 @@ func TestWarmForwardAdvancesState(t *testing.T) {
 	}
 }
 
-// TestRestoreReusingMatchesFresh: a donor-accelerated restore must be
-// byte-identical to a from-zero restore — the donor only changes where
-// generator replay starts, never what state it reaches — and the donor
-// must be consumed.
-func TestRestoreReusingMatchesFresh(t *testing.T) {
-	cfg := snapshotConfigs(t)["smt"]
-	chain, err := New(cfg)
+// TestSnapshotRejectsBadGeneratorState re-seals a valid checkpoint with
+// one generator field pushed out of range — the checksum is fresh, so
+// only the generator's own validation stands between the bytes and an
+// index out of range in Next — and expects snap.ErrCorrupt, not a panic.
+func TestSnapshotRejectsBadGeneratorState(t *testing.T) {
+	cfg := snapshotConfigs(t)["base"]
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain.WarmForward(4_000)
-	early := mustSnapshot(t, chain)
-	chain.WarmForward(20_000)
-	late := mustSnapshot(t, chain)
-
-	donor, err := Restore(cfg, early)
+	if err := m.RunUntilRetired(context.Background(), 4_000); err != nil {
+		t.Fatal(err)
+	}
+	meta, payload, err := snap.Open(mustSnapshot(t, m), snapMagic, snapVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := donor.RunUntilRetired(context.Background(), 1_000); err != nil {
-		t.Fatal(err)
+	var gw snap.Writer
+	m.threads[0].wp.Snapshot(&gw)
+	gen := gw.Bytes()
+	at := bytes.Index(payload, gen)
+	if at < 0 {
+		t.Fatal("wrong-path generator state not found in payload")
 	}
-
-	fresh, err := Restore(cfg, late)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reused, err := RestoreReusing(cfg, late, donor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mustSnapshot(t, reused), mustSnapshot(t, fresh)) {
-		t.Fatal("donor-accelerated restore differs from fresh restore")
-	}
-	resA, err := fresh.RunContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := reused.RunContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resA, resB) {
-		t.Fatalf("runs diverge after donor restore:\n%+v\nwant\n%+v", resB, resA)
-	}
-
-	// The donor's generators were transplanted; using it again must fail
-	// fast rather than silently desynchronize.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("consumed donor still usable")
-			}
-		}()
-		donor.WarmForward(10)
-	}()
-
-	// A donor under a different structural config is rejected.
-	om, err := New(snapshotConfigs(t)["base"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RestoreReusing(cfg, late, om); err == nil {
-		t.Fatal("cross-config donor restore accepted")
+	// Offsets follow workload.Generator.Snapshot's layout: the 607-word
+	// rng ring, the destination ring and four more registers (u16 each),
+	// then the rng index, ring length, ring head, recent-store count and
+	// recent-store cursor as i64s.
+	rngIndex := 607*8 + 2*(isa.NumArchRegs-isa.NumGlobalRegs+4)
+	ringLen, storeCur := rngIndex+8, rngIndex+32
+	for name, c := range map[string]struct {
+		off int
+		v   int64
+	}{
+		"rng index":          {rngIndex, 607},
+		"negative rng index": {rngIndex, -1},
+		"ring length":        {ringLen, 61},
+		"store cursor":       {storeCur, 16},
+	} {
+		bad := bytes.Clone(payload)
+		binary.LittleEndian.PutUint64(bad[at+c.off:], uint64(c.v))
+		if _, err := Restore(cfg, snap.Seal(snapMagic, snapVersion, meta, bad)); !errors.Is(err, snap.ErrCorrupt) {
+			t.Errorf("%s %d: err = %v, want snap.ErrCorrupt", name, c.v, err)
+		}
 	}
 }

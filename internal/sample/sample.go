@@ -212,12 +212,12 @@ func Merge(results []*pipeline.Result, o Options, totalInstructions uint64) (*Es
 	return e, nil
 }
 
-// Run is the single-process sampler: warm, checkpoint, run every window,
-// merge. Each finished window machine donates its generators to the next
-// window's restore (pipeline.RestoreReusing), so generator replay is one
-// incremental pass over the stream rather than O(windows · position) —
-// without it, restore cost alone would cancel the sampler's speedup on
-// long runs.
+// Run is the single-process sampler: Checkpoints, RunWindow per
+// window, Merge. It takes the same per-window path as serve's checkpoint
+// jobs and dispatch.RunSampled, so a local and a sharded estimate are
+// computed identically. Checkpoints carry generator state directly, so
+// every restore costs the same wherever its window falls in the stream
+// and windows may run in any order.
 func Run(ctx context.Context, cfg pipeline.Config, o Options) (*Estimate, error) {
 	ckpts, err := Checkpoints(cfg, o)
 	if err != nil {
@@ -225,16 +225,10 @@ func Run(ctx context.Context, cfg pipeline.Config, o Options) (*Estimate, error)
 	}
 	wcfg := WindowConfig(cfg, o)
 	results := make([]*pipeline.Result, len(ckpts))
-	var donor *pipeline.Machine
 	for i, ckpt := range ckpts {
-		m, err := pipeline.RestoreReusing(wcfg, ckpt, donor)
-		if err != nil {
+		if results[i], err = RunWindow(ctx, wcfg, ckpt); err != nil {
 			return nil, fmt.Errorf("sample: window %d: %w", i, err)
 		}
-		if results[i], err = m.RunContext(ctx); err != nil {
-			return nil, fmt.Errorf("sample: window %d: %w", i, err)
-		}
-		donor = m
 	}
 	return Merge(results, o, cfg.MeasureInstructions)
 }

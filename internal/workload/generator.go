@@ -37,6 +37,7 @@ const ringSize = isa.NumArchRegs - isa.NumGlobalRegs
 // streams.
 type Generator struct {
 	prof Profile
+	src  *ringSource // rng's state, held directly so Snapshot can copy it
 	rng  *rand.Rand
 
 	// Destination bookkeeping: ring of the most recent register-writing
@@ -84,9 +85,11 @@ func NewGenerator(prof Profile, seed int64, memBase uint64) *Generator {
 	if err := prof.Validate(); err != nil {
 		panic(err)
 	}
+	src := newRingSource(seed)
 	g := &Generator{
 		prof:     prof,
-		rng:      rand.New(rand.NewSource(seed)),
+		src:      src,
+		rng:      rand.New(src),
 		nextDest: isa.NumGlobalRegs,
 		lastDest: isa.RegInvalid,
 		hotVal:   isa.RegInvalid,

@@ -11,6 +11,11 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> benchmark module: go vet ./... (in benchmark/)"
+# benchmark/ is its own module, so the root build and vet never compile
+# it; vetting it here catches an API change in loosesim that breaks it.
+(cd benchmark && go vet ./...)
+
 echo "==> simlint ./..."
 go run ./cmd/simlint ./...
 
