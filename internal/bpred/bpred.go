@@ -247,31 +247,33 @@ func (s *Static) Name() string {
 // front end always knows real targets, so the BTB only contributes hit/miss
 // statistics, but it is modelled faithfully for completeness.
 type BTB struct {
-	tags    []uint64
-	targets []uint64
-	valid   []bool
+	entries []btbEntry
 	mask    uint64
 
 	hits, misses uint64
+}
+
+// btbEntry is one BTB slot; a lookup touches a single entry.
+type btbEntry struct {
+	tag, target uint64
+	valid       bool
 }
 
 // NewBTB returns a BTB with the given number of entries (power of two).
 func NewBTB(entries int) *BTB {
 	checkPow2(entries)
 	return &BTB{
-		tags:    make([]uint64, entries),
-		targets: make([]uint64, entries),
-		valid:   make([]bool, entries),
+		entries: make([]btbEntry, entries),
 		mask:    uint64(entries - 1),
 	}
 }
 
 // Lookup returns the predicted target for pc and whether the BTB hit.
 func (b *BTB) Lookup(pc uint64) (uint64, bool) {
-	i := (pc >> 2) & b.mask
-	if b.valid[i] && b.tags[i] == pc {
+	e := &b.entries[(pc>>2)&b.mask]
+	if e.valid && e.tag == pc {
 		b.hits++
-		return b.targets[i], true
+		return e.target, true
 	}
 	b.misses++
 	return 0, false
@@ -279,10 +281,7 @@ func (b *BTB) Lookup(pc uint64) (uint64, bool) {
 
 // Insert records the taken target of the branch at pc.
 func (b *BTB) Insert(pc, target uint64) {
-	i := (pc >> 2) & b.mask
-	b.tags[i] = pc
-	b.targets[i] = target
-	b.valid[i] = true
+	b.entries[(pc>>2)&b.mask] = btbEntry{tag: pc, target: target, valid: true}
 }
 
 // HitRate returns the fraction of lookups that hit.

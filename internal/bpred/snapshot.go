@@ -167,27 +167,38 @@ func RestorePredictor(r *snap.Reader, p Predictor) {
 	}
 }
 
-// Snapshot encodes the BTB's tags, targets, valid bits, and statistics.
+// Snapshot encodes the BTB's entries as three length-prefixed columns —
+// tags, targets, valid bits — followed by its statistics.
 func (b *BTB) Snapshot(w *snap.Writer) {
-	w.U64s(b.tags)
-	w.U64s(b.targets)
-	w.Bools(b.valid)
+	w.Len(len(b.entries))
+	for _, e := range b.entries {
+		w.U64(e.tag)
+	}
+	w.Len(len(b.entries))
+	for _, e := range b.entries {
+		w.U64(e.target)
+	}
+	w.Len(len(b.entries))
+	for _, e := range b.entries {
+		w.Bool(e.valid)
+	}
 	w.U64(b.hits)
 	w.U64(b.misses)
 }
 
 // Restore overwrites the mutable state; b must have the snapshot's size.
 func (b *BTB) Restore(r *snap.Reader) {
-	tags := r.U64s(len(b.tags))
-	targets := r.U64s(len(b.targets))
-	valid := r.Bools(len(b.valid))
-	if len(tags) != len(b.tags) || len(targets) != len(b.targets) || len(valid) != len(b.valid) {
-		r.Failf("btb: got %d/%d/%d entries, want %d", len(tags), len(targets), len(valid), len(b.tags))
+	n := len(b.entries)
+	tags := r.U64s(n)
+	targets := r.U64s(n)
+	valid := r.Bools(n)
+	if len(tags) != n || len(targets) != n || len(valid) != n {
+		r.Failf("btb: got %d/%d/%d entries, want %d", len(tags), len(targets), len(valid), n)
 		return
 	}
-	copy(b.tags, tags)
-	copy(b.targets, targets)
-	copy(b.valid, valid)
+	for i := range b.entries {
+		b.entries[i] = btbEntry{tag: tags[i], target: targets[i], valid: valid[i]}
+	}
 	b.hits = r.U64()
 	b.misses = r.U64()
 }

@@ -12,6 +12,7 @@ package iq
 
 import (
 	"fmt"
+	"math"
 
 	"loosesim/internal/uop"
 )
@@ -27,10 +28,27 @@ type Config struct {
 
 // Queue is the clustered instruction queue. Each cluster's list is kept in
 // age order; age order across clusters is preserved by the global Seq.
+// retained counts the entries in a retaining state (see Retained); every
+// way an entry enters, leaves, or changes state goes through Insert,
+// Remove, SetState or Revert, which keep it exact. Select (Candidate)
+// offers only waiting entries whose wake cycle (uop.WakeAt) has come;
+// the machine keeps each wake cycle a lower bound on when the entry can
+// issue, and moves it earlier only through Wake or Revert.
 type Queue struct {
-	cfg       Config
-	byCluster [][]*uop.UOp
-	count     int
+	cfg      Config
+	clusters []cluster
+	count    int
+	retained int
+}
+
+// cluster is one cluster's entry list and next, a lower bound on the wake
+// cycle (uop.WakeAt) of every waiting entry in it: select skips the
+// cluster outright until next. Every write that may make a waiting
+// entry's WakeAt smaller lowers next too, and a scan of the whole list
+// that finds no candidate sets it to the exact minimum.
+type cluster struct {
+	list []*uop.UOp
+	next int64
 }
 
 // New returns an empty queue.
@@ -38,12 +56,12 @@ func New(cfg Config) *Queue {
 	if cfg.Entries < 1 || cfg.Clusters < 1 {
 		panic(fmt.Sprintf("iq: bad config %+v", cfg))
 	}
-	q := &Queue{cfg: cfg, byCluster: make([][]*uop.UOp, cfg.Clusters)}
+	q := &Queue{cfg: cfg, clusters: make([]cluster, cfg.Clusters)}
 	// Slotting is least-loaded but nothing caps one cluster short of the
 	// whole queue, so each list is provisioned to the full capacity —
 	// Insert must never grow on the per-cycle path.
-	for c := range q.byCluster {
-		q.byCluster[c] = make([]*uop.UOp, 0, cfg.Entries)
+	for c := range q.clusters {
+		q.clusters[c].list = make([]*uop.UOp, 0, cfg.Entries)
 	}
 	return q
 }
@@ -58,24 +76,27 @@ func (q *Queue) Full() bool { return q.count >= q.cfg.Entries }
 // is the queue's own storage — callers must treat it as read-only. It
 // exists for the machine's snapshot encoder, which serializes the lists
 // as live-uop indices and rebuilds them through Insert on restore; the
-// lists are the queue's only state.
-func (q *Queue) ClusterEntries(c int) []*uop.UOp { return q.byCluster[c] }
+// lists are the queue's only encoded state (the retained count follows
+// from the entries' states, and wake cycles are rebuilt by the machine).
+func (q *Queue) ClusterEntries(c int) []*uop.UOp { return q.clusters[c].list }
 
 // LeastLoadedCluster returns the cluster with the fewest queue entries,
 // breaking ties toward lower indices. This is the decode-time slotting
 // policy: it approximates the uniform distribution the paper assumes.
 func (q *Queue) LeastLoadedCluster() int {
-	best := 0
-	for c := 1; c < q.cfg.Clusters; c++ {
-		if len(q.byCluster[c]) < len(q.byCluster[best]) {
-			best = c
+	best, n := 0, math.MaxInt
+	for c := range q.clusters {
+		if l := len(q.clusters[c].list); l < n {
+			best, n = c, l
 		}
 	}
 	return best
 }
 
 // Insert places u (already slotted to u.Cluster) into the queue. It returns
-// false if the queue is full.
+// false if the queue is full. u may already be issued — a restored machine
+// re-inserts its retained entries — and counts by its state at insertion.
+// A waiting entry keeps the wake cycle it carries (uop.WakeAt).
 func (q *Queue) Insert(u *uop.UOp) bool {
 	if q.Full() {
 		return false
@@ -86,23 +107,32 @@ func (q *Queue) Insert(u *uop.UOp) bool {
 	if u.InIQ {
 		panic(fmt.Sprintf("iq: duplicate insert of %v", u))
 	}
+	cl := &q.clusters[u.Cluster]
 	// simlint:prealloc cluster lists sized to Entries at construction
-	q.byCluster[u.Cluster] = append(q.byCluster[u.Cluster], u)
+	cl.list = append(cl.list, u)
+	if u.State == uop.StateWaiting {
+		cl.next = min(cl.next, u.WakeAt)
+	}
 	q.count++
+	q.retained += retains(u.State)
 	u.InIQ = true
 	return true
 }
 
-// Remove releases u's entry (retire-side eviction or squash).
+// Remove releases u's entry (retire-side eviction or squash), taking it
+// out of the waiter lists its sources were linked into as well.
 func (q *Queue) Remove(u *uop.UOp) {
 	if !u.InIQ {
 		return
 	}
-	list := q.byCluster[u.Cluster]
+	u.Unwait()
+	cl := &q.clusters[u.Cluster]
+	list := cl.list
 	for i, e := range list {
 		if e == u {
-			q.byCluster[u.Cluster] = append(list[:i], list[i+1:]...)
+			cl.list = append(list[:i], list[i+1:]...)
 			q.count--
+			q.retained -= retains(u.State)
 			u.InIQ = false
 			return
 		}
@@ -110,13 +140,80 @@ func (q *Queue) Remove(u *uop.UOp) {
 	panic(fmt.Sprintf("iq: %v marked InIQ but not found", u))
 }
 
+// SetState moves u to state s. The machine makes every forward state
+// change of a queued entry here — issue, completion, retirement while the
+// entry awaits reclamation — and the one backward change through Revert,
+// so the retained count stays exact without a scan. A uop outside the
+// queue just takes the new state.
+func (q *Queue) SetState(u *uop.UOp, s uop.State) {
+	if u.InIQ {
+		q.retained += retains(s) - retains(u.State)
+	}
+	u.State = s
+}
+
+// Revert returns queued entry u to waiting after a mis-speculation (the
+// loose-loop recovery at the IQ): it keeps its entry and its wake cycle,
+// and select offers it again from that cycle on.
+func (q *Queue) Revert(u *uop.UOp) {
+	q.retained -= retains(u.State)
+	u.State = uop.StateWaiting
+	cl := &q.clusters[u.Cluster]
+	cl.next = min(cl.next, u.WakeAt)
+}
+
+// retains reports (as 0 or 1) whether an entry in state s is retained:
+// issued or completed but not yet reclaimed.
+func retains(s uop.State) int {
+	if s == uop.StateIssued || s == uop.StateDone {
+		return 1
+	}
+	return 0
+}
+
+// Wake sets queued u's wake cycle to at, which may be earlier than before.
+// (Raising a waiting entry's wake cycle needs no call: the field can be
+// written directly.)
+func (q *Queue) Wake(u *uop.UOp, at int64) {
+	u.WakeAt = at
+	cl := &q.clusters[u.Cluster]
+	cl.next = min(cl.next, at)
+}
+
+// Candidate returns the oldest entry of cluster c, at or after age
+// position i, that is waiting with a wake cycle (uop.WakeAt) not after
+// now, and its position; it returns (len, nil) when there is none. It is
+// the select logic's scan: the caller applies the full wakeup predicate to
+// each candidate in turn, resuming at position+1, and raises the wake
+// cycle of a candidate that fails it.
+func (q *Queue) Candidate(c, i int, now int64) (int, *uop.UOp) {
+	cl := &q.clusters[c]
+	list := cl.list
+	if cl.next > now {
+		return len(list), nil
+	}
+	next := int64(math.MaxInt64)
+	for j := i; j < len(list); j++ {
+		if u := list[j]; u.State == uop.StateWaiting {
+			if u.WakeAt <= now {
+				return j, u
+			}
+			next = min(next, u.WakeAt)
+		}
+	}
+	if i == 0 {
+		cl.next = next // the whole list was scanned
+	}
+	return len(list), nil
+}
+
 // SelectOldestReady returns the oldest waiting instruction in cluster c for
-// which ready returns true, or nil. It models the per-cluster select logic
-// (one issue per cluster per cycle).
+// which ready returns true, or nil, regardless of wake cycles. It is the
+// Candidate scan under a caller-supplied predicate, for callers outside the
+// cycle kernel.
 func (q *Queue) SelectOldestReady(c int, ready func(*uop.UOp) bool) *uop.UOp {
-	for _, u := range q.byCluster[c] {
-		// simlint:ignore ifacedispatch wakeup predicate seam; the caller binds it once at construction
-		if u.State == uop.StateWaiting && ready(u) {
+	for i, u := q.Candidate(c, 0, math.MaxInt64); u != nil; i, u = q.Candidate(c, i+1, math.MaxInt64) {
+		if ready(u) {
 			return u
 		}
 	}
@@ -125,16 +222,6 @@ func (q *Queue) SelectOldestReady(c int, ready func(*uop.UOp) bool) *uop.UOp {
 
 // Retained returns the number of entries held by instructions that have
 // issued (or completed) but whose entries have not yet been reclaimed —
-// the IQ-pressure population. Iterating the cluster lists directly keeps
-// the per-cycle sampling path closure-free.
-func (q *Queue) Retained() int {
-	n := 0
-	for _, list := range q.byCluster {
-		for _, u := range list {
-			if u.State == uop.StateIssued || u.State == uop.StateDone {
-				n++
-			}
-		}
-	}
-	return n
-}
+// the IQ-pressure population. The count is kept as entries change state,
+// so sampling it every cycle costs nothing.
+func (q *Queue) Retained() int { return q.retained }

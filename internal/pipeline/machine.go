@@ -74,9 +74,11 @@ type Machine struct {
 	// speculative) belief of when the value is available at the FUs;
 	// actualAt is ground truth, set when the producer's timing resolves.
 	// regGen counts reallocations, guarding in-flight writeback events.
+	// waiters[p] heads the list of p's queued consumers (wakeup.go).
 	readyAt  []int64
 	actualAt []int64
 	regGen   []uint32
+	waiters  []uop.WaitLink
 
 	rings [numEvKinds]eventRing
 
@@ -111,12 +113,9 @@ type Machine struct {
 	// Uop recycling. fetch draws records from pool; retire and squash
 	// enqueue dead records on the delay queue, and reclaimDead returns
 	// them to the pool once every stale reference has provably expired.
-	// srcReadyFn is m.srcReady bound once: passing the bound method to the
-	// IQ avoids allocating a fresh method-value closure every issue cycle.
-	pool       uop.Pool
-	dead       []deadRecord
-	deadHead   int
-	srcReadyFn func(*uop.UOp) bool
+	pool     uop.Pool
+	dead     []deadRecord
+	deadHead int
 }
 
 // deadRecord is one retired or squashed uop awaiting reuse: at is the first
@@ -158,7 +157,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.swPred = bpred.NewStoreWait(cfg.StoreWaitSize, cfg.StoreWaitClear)
 	for k := range m.rings {
-		m.rings[k].init()
+		m.rings[k].init(2 * cfg.Clusters)
 	}
 	m.evSink = cfg.Events
 	if cfg.Intervals != nil {
@@ -171,7 +170,7 @@ func New(cfg Config) (*Machine, error) {
 	m.readyAt = make([]int64, cfg.NumPhysRegs)
 	m.actualAt = make([]int64, cfg.NumPhysRegs)
 	m.regGen = make([]uint32, cfg.NumPhysRegs)
-	m.srcReadyFn = m.srcReady
+	m.waiters = make([]uop.WaitLink, cfg.NumPhysRegs)
 	for i, p := range cfg.Workload.Threads {
 		m.threads = append(m.threads, &threadState{
 			id: i,
@@ -336,20 +335,18 @@ func (m *Machine) recycleDead(u *uop.UOp) {
 
 // reclaimDead returns expired records to the pool; called once per cycle.
 func (m *Machine) reclaimDead() {
-	for m.deadHead < len(m.dead) && m.dead[m.deadHead].at <= m.cycle {
-		m.pool.Put(m.dead[m.deadHead].u)
-		m.dead[m.deadHead].u = nil
+	live := m.dead[m.deadHead:]
+	for len(live) > 0 && live[0].at <= m.cycle {
+		m.pool.Put(live[0].u)
+		live[0].u = nil
+		live = live[1:]
 		m.deadHead++
 	}
-	if m.deadHead == len(m.dead) {
+	if len(live) == 0 {
 		m.dead = m.dead[:0]
 		m.deadHead = 0
 	} else if m.deadHead > 4096 && m.deadHead*2 > len(m.dead) {
-		n := copy(m.dead, m.dead[m.deadHead:])
-		for i := n; i < len(m.dead); i++ {
-			m.dead[i].u = nil
-		}
-		m.dead = m.dead[:n]
+		m.dead = append(m.dead[:0], live...)
 		m.deadHead = 0
 	}
 }
@@ -383,7 +380,7 @@ func (m *Machine) onComplete(e event) {
 	if u.State == uop.StateSquashed || int(e.tag) != u.Issues {
 		return
 	}
-	u.State = uop.StateDone
+	m.q.SetState(u, uop.StateDone)
 	u.CompleteCycle = m.cycle
 	if u.Dest != regfile.PRegInvalid {
 		m.fb.Record(u.Dest, m.cycle)
@@ -430,17 +427,14 @@ func (m *Machine) resolveBranch(u *uop.UOp) {
 // issue-to-execute path.
 func (m *Machine) onLoadResolve(e event) {
 	u := e.u
-	if u.State == uop.StateSquashed || int(e.tag) != u.Issues {
+	if u.State == uop.StateSquashed || int(e.tag) != u.Issues || u.Dest == regfile.PRegInvalid {
 		return
 	}
-	if u.Dest == regfile.PRegInvalid {
-		return
-	}
+	at := m.cycle // data return: dependents may issue
 	if m.cycle < u.DataReady {
-		m.readyAt[u.Dest] = inf // miss notification: shadow closes
-	} else {
-		m.readyAt[u.Dest] = m.cycle // data return: dependents may issue
+		at = inf // miss notification: shadow closes
 	}
+	m.announce(u.Dest, at)
 }
 
 // onWriteback lands a value in the register file: the RPFT bit sets and
@@ -463,12 +457,9 @@ func (m *Machine) onWriteback(e event) {
 // onIQFree reclaims an issued instruction's IQ entry once the execution
 // stage has confirmed (loop delay later) that it will not reissue.
 func (m *Machine) onIQFree(e event) {
-	u := e.u
-	if int(e.tag) != u.Issues || !u.InIQ {
-		return
-	}
-	switch u.State {
-	case uop.StateIssued, uop.StateDone, uop.StateRetired:
+	// A reverted instruction (waiting again) keeps its entry; a squashed
+	// one has released it already, so Remove leaves it alone.
+	if u := e.u; int(e.tag) == u.Issues && u.State != uop.StateWaiting {
 		m.q.Remove(u)
 	}
 }
@@ -532,7 +523,7 @@ func (m *Machine) onExec(e event) {
 				if min := now + int64(m.cfg.FeedbackDelay+m.cfg.IQExLat); ready < min {
 					ready = min
 				}
-				m.readyAt[u.Dest] = ready
+				m.announce(u.Dest, ready)
 			}
 			break
 		}
@@ -576,7 +567,7 @@ func (m *Machine) onExec(e event) {
 				ready = u.DataReady + int64(m.cfg.IQExLat)
 			}
 			if u.Dest != regfile.PRegInvalid {
-				m.readyAt[u.Dest] = ready
+				m.announce(u.Dest, ready)
 			}
 		case !res.Hit():
 			// Load-hit speculation failed: the load resolution loop
@@ -679,7 +670,7 @@ func (m *Machine) operandsDelivered(u *uop.UOp, now int64) bool {
 // before the recovery signal arrives at minIssue. Its destination's wakeup
 // state goes back to unknown so dependents stop issuing against it.
 func (m *Machine) revertToWaiting(u *uop.UOp, minIssue int64) {
-	u.State = uop.StateWaiting
+	m.q.Revert(u)
 	u.MinIssueCycle = minIssue
 	if u.Dest != regfile.PRegInvalid {
 		m.readyAt[u.Dest] = inf
@@ -761,7 +752,7 @@ func (m *Machine) squashYounger(t *threadState, seq uint64) {
 		if u.Renamed && u.Inst.Dest.Valid() {
 			m.rf.SquashRestore(t.id, u.Inst.Dest, u.Dest, u.OldPhy)
 		}
-		u.State = uop.StateSquashed
+		u.State = uop.StateSquashed // out of the queue: no retained count to keep
 		m.recycleDead(u)
 	}
 	w.truncFrom(keep)
@@ -833,7 +824,7 @@ func (m *Machine) retire() int {
 		}
 		idle = 0
 		t.window.popFront()
-		u.State = uop.StateRetired
+		m.q.SetState(u, uop.StateRetired) // the entry may still await evIQFree
 		if m.cfg.Tracer != nil {
 			m.cfg.Tracer.record(u, m.cycle)
 		}
@@ -848,48 +839,44 @@ func (m *Machine) retire() int {
 	return m.cfg.RetireWidth - budget
 }
 
-// srcReady is the wakeup predicate: every source's value must be (believed)
-// available by the time the instruction reaches the functional units.
-func (m *Machine) srcReady(u *uop.UOp) bool {
-	if m.cycle < u.MinIssueCycle {
-		return false
-	}
-	if m.loadMustWait(u) {
-		return false
-	}
-	horizon := m.cycle + int64(m.cfg.IQExLat)
-	for i := 0; i < u.NumSrc; i++ {
-		if m.readyAt[u.Src[i]] > horizon {
-			return false
-		}
-	}
-	return true
-}
-
 // issue selects at most one ready instruction per cluster, beginning its
 // IQ-EX traversal. Destinations are announced to the wakeup state at the
 // speculative latency (loads: L1 hit), which is precisely the load-hit
 // speculation of the load resolution loop.
 func (m *Machine) issue() {
 	for c := 0; c < m.cfg.Clusters; c++ {
-		u := m.q.SelectOldestReady(c, m.srcReadyFn)
+		// The oldest candidate for which the wakeup predicate holds
+		// issues; one that fails is not offered again before its wake
+		// cycle.
+		var u *uop.UOp
+		for i := 0; ; i++ {
+			i, u = m.q.Candidate(c, i, m.cycle)
+			if u == nil {
+				break
+			}
+			wake := m.wakeCycle(u)
+			if wake <= m.cycle && !m.loadMustWait(u) {
+				break
+			}
+			u.WakeAt = wake
+		}
 		if u == nil {
 			continue
 		}
-		u.State = uop.StateIssued
+		m.q.SetState(u, uop.StateIssued)
 		u.Issues++
 		u.IssueCycle = m.cycle
 		m.ctr.IssuedTotal++
 		if u.Dest != regfile.PRegInvalid {
-			if u.IsLoad() && m.cfg.LoadPolicy == LoadStall {
-				m.readyAt[u.Dest] = inf // no speculation: wait for resolve
-			} else {
+			at := inf // no speculation: wait for resolve
+			if !u.IsLoad() || m.cfg.LoadPolicy != LoadStall {
 				spec := int64(u.Inst.Op.Latency())
 				if u.IsLoad() {
 					spec = int64(m.cfg.Mem.L1.HitLatency)
 				}
-				m.readyAt[u.Dest] = m.cycle + int64(m.cfg.IQExLat) + spec
+				at = m.cycle + int64(m.cfg.IQExLat) + spec
 			}
+			m.announce(u.Dest, at)
 		}
 		exec := m.cycle + int64(m.cfg.IQExLat)
 		m.schedule(evExec, exec, event{u: u, tag: int32(u.Issues)})
@@ -934,12 +921,12 @@ func (m *Machine) rename() {
 // renameOne performs rename, slotting, and IQ insertion for one uop.
 func (m *Machine) renameOne(t *threadState, u *uop.UOp) {
 	u.NumSrc = 0
-	for i := 0; i < 2; i++ {
-		if !u.Inst.Src[i].Valid() {
+	for i, r := range u.Inst.Src {
+		if !r.Valid() {
 			break
 		}
-		u.Src[u.NumSrc] = m.rf.Lookup(t.id, u.Inst.Src[i])
-		u.NumSrc++
+		u.Src[i] = m.rf.Lookup(t.id, r)
+		u.NumSrc = i + 1
 	}
 	u.Cluster = m.q.LeastLoadedCluster()
 	if m.dra != nil {
@@ -967,9 +954,11 @@ func (m *Machine) renameOne(t *threadState, u *uop.UOp) {
 	if u.Inst.Op == isa.Store && !u.WrongPath {
 		t.trackStore(u)
 	}
+	u.WakeAt = m.wakeCycle(u)
 	if !m.q.Insert(u) {
 		panic("pipeline: IQ insert failed after fullness check")
 	}
+	m.link(u)
 }
 
 // fetch brings up to FetchWidth instructions from one thread (ICOUNT

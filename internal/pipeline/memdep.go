@@ -39,17 +39,19 @@ func (m *Machine) refreshMemDep() {
 	}
 }
 
-// loadMustWait implements the issue-stage gate for the configured policy.
+// loadMustWait implements the issue-stage gate for the configured policy:
+// a conservative load waits behind any older store with an unknown
+// address, a store-wait load only if the predictor says so.
 func (m *Machine) loadMustWait(u *uop.UOp) bool {
 	if u.WrongPath || !u.IsLoad() {
 		return false
 	}
 	switch m.cfg.MemDep {
-	case MemDepConservative:
-		return u.Seq > m.threads[u.Thread].minUnexecStore
-	case MemDepStoreWait:
-		return m.swPred.ShouldWait(u.Inst.PC) &&
-			u.Seq > m.threads[u.Thread].minUnexecStore
+	case MemDepConservative, MemDepStoreWait:
+		if u.Seq <= m.threads[u.Thread].minUnexecStore {
+			return false
+		}
+		return m.cfg.MemDep == MemDepConservative || m.swPred.ShouldWait(u.Inst.PC)
 	default:
 		return false
 	}
@@ -112,13 +114,15 @@ func (t *threadState) trackLoad(u *uop.UOp) {
 
 // trackStore records a renamed store until it retires.
 func (t *threadState) trackStore(u *uop.UOp) {
-	// simlint:prealloc sized to MaxInFlight at construction
+	// simlint:prealloc sized to MaxInFlight at construction; untrackRetired pops in place, so the capacity is never lost
 	t.memStores = append(t.memStores, u)
 }
 
 // untrackRetired drops a retiring memory instruction from the tracking
-// lists. Stores retire in program order, so the store is the list head;
-// loads are appended in execute order and removed by search.
+// lists. Stores retire in program order, so the store is the list head,
+// popped by shifting the rest down: re-slicing past it would walk the list
+// off its preallocated array and make every later append reallocate.
+// Loads are appended in execute order and removed by search.
 func (t *threadState) untrackRetired(u *uop.UOp) {
 	if u.WrongPath {
 		return
@@ -132,8 +136,8 @@ func (t *threadState) untrackRetired(u *uop.UOp) {
 			}
 		}
 	case u.Inst.Op.IsMem():
-		if len(t.memStores) > 0 && t.memStores[0] == u {
-			t.memStores = t.memStores[1:]
+		if s := t.memStores; len(s) > 0 && s[0] == u {
+			t.memStores = append(s[:0], s[1:]...)
 			return
 		}
 		// A store must retire in order; reaching here is a tracking bug.

@@ -9,6 +9,7 @@ import (
 
 	"loosesim/internal/bpred"
 	"loosesim/internal/isa"
+	"loosesim/internal/regfile"
 	"loosesim/internal/snap"
 	"loosesim/internal/uop"
 )
@@ -504,6 +505,12 @@ func (m *Machine) restorePayload(r *snap.Reader) {
 				return
 			}
 		}
+		for _, p := range u.Src[:u.NumSrc] {
+			if p == regfile.PRegInvalid {
+				r.Failf("uop %d: unnamed source among its %d", i, u.NumSrc)
+				return
+			}
+		}
 		uops[i] = u
 	}
 	seen := make([]bool, n) // window/dead membership: each uop exactly once
@@ -591,9 +598,10 @@ func (m *Machine) restorePayload(r *snap.Reader) {
 		}
 	}
 
-	// IQ: rebuild the entry lists through Insert (which re-checks
-	// capacity).
+	// IQ: the entry lists in age order, re-queued once the wakeup state
+	// is known (below).
 	inIQ := make([]bool, n)
+	var queued []*uop.UOp
 	for c := 0; c < m.cfg.Clusters; c++ {
 		cnt := r.Len(n)
 		for i := 0; i < cnt; i++ {
@@ -607,11 +615,7 @@ func (m *Machine) restorePayload(r *snap.Reader) {
 				return
 			}
 			inIQ[idx] = true
-			u.InIQ = false
-			if !m.q.Insert(u) {
-				r.Failf("iq cluster %d: overfull", c)
-				return
-			}
+			queued = append(queued, u)
 		}
 	}
 	for i, u := range uops {
@@ -651,6 +655,19 @@ func (m *Machine) restorePayload(r *snap.Reader) {
 	}
 	for i := 0; i < gn; i++ {
 		m.regGen[i] = r.U32()
+	}
+
+	// Rebuild the IQ through Insert (which re-checks capacity): each
+	// entry gets its wake cycle from the restored ready times and is
+	// re-linked into its sources' waiter lists.
+	for _, u := range queued {
+		u.InIQ = false
+		u.WakeAt = m.wakeCycle(u)
+		if !m.q.Insert(u) {
+			r.Failf("iq cluster %d: overfull", u.Cluster)
+			return
+		}
+		m.link(u)
 	}
 
 	// Event rings.

@@ -29,16 +29,18 @@ func (d *deque) front() *uop.UOp {
 	return d.buf[d.head]
 }
 
+// popFront removes and returns the oldest element, or nil if the deque
+// is empty.
 func (d *deque) popFront() *uop.UOp {
-	u := d.buf[d.head]
-	d.buf[d.head] = nil
+	live := d.buf[d.head:]
+	if len(live) == 0 {
+		return nil
+	}
+	u := live[0]
+	live[0] = nil
 	d.head++
 	if d.head > 4096 && d.head*2 > len(d.buf) {
-		n := copy(d.buf, d.buf[d.head:])
-		for i := n; i < len(d.buf); i++ {
-			d.buf[i] = nil
-		}
-		d.buf = d.buf[:n]
+		d.buf = append(d.buf[:0], live[1:]...)
 		d.head = 0
 	}
 	return u
@@ -78,13 +80,6 @@ type event struct {
 // TLB refill + writeback delay, plus slack).
 const ringSize = 1024
 
-// slotCap is the event capacity preallocated per ring slot. Per-cycle
-// per-kind event counts are bounded by machine widths (at most one evExec
-// and one evIQFree per cluster per cycle); completions can pile deeper on
-// pathological latency coincidences, in which case the slot grows once via
-// append and keeps the larger capacity.
-const slotCap = 8
-
 // eventRing is a calendar queue: slot c%ringSize holds the events of cycle
 // c for one event kind. init carves every slot out of one backing slab so
 // the per-cycle schedule path never grows a slot from nil — before the
@@ -93,7 +88,14 @@ type eventRing struct {
 	slots [ringSize][]event
 }
 
-func (r *eventRing) init() {
+// init provisions slotCap events per slot. Per-cycle per-kind event
+// counts are bounded by machine widths: at most one evExec and one
+// evIQFree per cluster per cycle, while completions (and the writebacks
+// that follow them) from several issue cycles can coincide. The machine
+// passes twice the cluster count, which covers every count observed on
+// the base machine; a slot that still overflows grows once via append and
+// keeps the larger capacity.
+func (r *eventRing) init(slotCap int) {
 	slab := make([]event, ringSize*slotCap)
 	for i := range r.slots {
 		r.slots[i] = slab[i*slotCap : i*slotCap : (i+1)*slotCap]

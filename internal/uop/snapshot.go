@@ -5,8 +5,8 @@ import (
 	"loosesim/internal/snap"
 )
 
-// Snapshot encodes the dynamic instruction into w, field by field in
-// declaration order. Pointers into the record (IQ entries, event-ring
+// Snapshot encodes the dynamic instruction into w, field by field in a
+// fixed order. Pointers into the record (IQ entries, event-ring
 // slots, tracking lists) are not the uop's to encode — the machine
 // serializes those as indices into its live-uop table.
 func (u *UOp) Snapshot(w *snap.Writer) {

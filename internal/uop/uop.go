@@ -75,11 +75,24 @@ type UOp struct {
 	// fetched into the payload by operand-miss recovery.
 	PreRead [2]bool
 
-	// State machine.
+	// State machine. The issue stage's select scan reads State and
+	// WakeAt of every entry it passes, and its wakeup predicate
+	// MinIssueCycle, so they sit together.
 	State State
+	// InIQ marks the instruction as holding an IQ entry.
+	InIQ bool
 	// Issues counts issue attempts; Issues-1 is the reissue (useless
 	// work) count for this instruction.
 	Issues int
+	// MinIssueCycle gates re-selection after a mis-speculation: the IQ
+	// cannot reissue the instruction before the recovery signal (and, for
+	// operand misses, the register file read into the payload) arrives.
+	MinIssueCycle int64
+	// WakeAt is a lower bound, kept while the instruction is queued, on
+	// the first cycle the wakeup predicate can hold for it; select skips
+	// a waiting entry before it. Like Wait below it is derived state,
+	// rebuilt on restore, never serialized.
+	WakeAt int64
 
 	// Timestamps (cycles), NoCycle until the event occurs.
 	FetchCycle    int64
@@ -102,17 +115,36 @@ type UOp struct {
 	// when the cache resolves the access.
 	DataReady int64
 
-	// MinIssueCycle gates re-selection after a mis-speculation: the IQ
-	// cannot reissue the instruction before the recovery signal (and, for
-	// operand misses, the register file read into the payload) arrives.
-	MinIssueCycle int64
-
-	// InIQ marks the instruction as holding an IQ entry.
-	InIQ bool
+	// Wait[i] links source i into the waiter list of physical register
+	// Src[i] while the instruction is queued (one link per distinct
+	// register), so a change to that register's ready time reaches
+	// WakeAt.
+	Wait [2]WaitLink
 
 	// MemTracked marks a load already recorded in the memory-ordering
 	// tracking list (set on first successful execution).
 	MemTracked bool
+}
+
+// WaitLink is a node of an intrusive, doubly linked waiter list: the
+// queued instructions reading one physical register, headed by a sentinel
+// node with no U.
+type WaitLink struct {
+	Next, Prev *WaitLink
+	U          *UOp
+}
+
+// Unwait takes u out of every waiter list it is linked into.
+func (u *UOp) Unwait() {
+	for i := range u.Wait {
+		if n := &u.Wait[i]; n.Prev != nil {
+			n.Prev.Next = n.Next
+			if n.Next != nil {
+				n.Next.Prev = n.Prev
+			}
+			n.Next, n.Prev = nil, nil
+		}
+	}
 }
 
 // New returns a UOp in decode state with timestamps cleared. The pipeline's

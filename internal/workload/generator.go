@@ -27,6 +27,10 @@ const (
 	codePCBase   = uint64(0x40_0000)
 )
 
+// siteSkewLog is math.Log(1-siteSkewP), the denominator of every
+// site-skew draw (see geometric).
+var siteSkewLog = math.Log(1 - siteSkewP)
+
 // ringSize bounds dependency distances; destinations rotate round-robin
 // through the non-global architectural registers, so this is the number of
 // distinct outstanding values.
@@ -37,8 +41,12 @@ const ringSize = isa.NumArchRegs - isa.NumGlobalRegs
 // streams.
 type Generator struct {
 	prof Profile
-	src  *ringSource // rng's state, held directly so Snapshot can copy it
-	rng  *rand.Rand
+	// Per-profile constants of the draws, computed once: the operation
+	// mix in pickOp's order, and math.Log(1-prof.DepGeoP) (see geometric).
+	mix    [7]opShare
+	depLog float64
+	src    *ringSource // rng's state, held directly so Snapshot can copy it
+	rng    *rand.Rand
 
 	// Destination bookkeeping: ring of the most recent register-writing
 	// instructions' destinations, newest at index head-1.
@@ -88,6 +96,8 @@ func NewGenerator(prof Profile, seed int64, memBase uint64) *Generator {
 	src := newRingSource(seed)
 	g := &Generator{
 		prof:     prof,
+		mix:      opMix(&prof),
+		depLog:   math.Log(1 - prof.DepGeoP),
 		src:      src,
 		rng:      rand.New(src),
 		nextDest: isa.NumGlobalRegs,
@@ -182,14 +192,15 @@ func (g *Generator) reloadSlot() bool {
 	return float64(h)/float64(1<<32) < g.prof.StoreReloadFrac
 }
 
-// pickOp draws the operation class from the profile's mix.
-func (g *Generator) pickOp() isa.OpClass {
-	r := g.rng.Float64()
-	p := &g.prof
-	for _, c := range []struct {
-		f  float64
-		op isa.OpClass
-	}{
+// opShare is one operation class's share of a profile's instruction mix.
+type opShare struct {
+	f  float64
+	op isa.OpClass
+}
+
+// opMix lists p's non-ALU operation classes in pickOp's draw order.
+func opMix(p *Profile) [7]opShare {
+	return [7]opShare{
 		{p.LoadFrac, isa.Load},
 		{p.StoreFrac, isa.Store},
 		{p.BranchFrac, isa.Branch},
@@ -197,7 +208,13 @@ func (g *Generator) pickOp() isa.OpClass {
 		{p.FPMulFrac, isa.FPMul},
 		{p.FPDivFrac, isa.FPDiv},
 		{p.IntMulFrac, isa.IntMul},
-	} {
+	}
+}
+
+// pickOp draws the operation class from the profile's mix.
+func (g *Generator) pickOp() isa.OpClass {
+	r := g.rng.Float64()
+	for _, c := range &g.mix {
 		if r < c.f {
 			return c.op
 		}
@@ -261,7 +278,7 @@ func (g *Generator) pickSource() isa.Reg {
 		d := lo + g.rng.Intn(g.ringLen-lo+1)
 		return g.at(d)
 	default:
-		d := 1 + g.geometric(p.DepGeoP)
+		d := 1 + g.geometric(g.depLog)
 		if d > g.ringLen {
 			d = g.ringLen
 		}
@@ -276,7 +293,7 @@ func (g *Generator) pickAddrSource() isa.Reg {
 	if g.rng.Float64() < 0.5 || g.ringLen == 0 {
 		return isa.Reg(g.rng.Intn(isa.NumGlobalRegs))
 	}
-	d := 1 + g.geometric(g.prof.DepGeoP)
+	d := 1 + g.geometric(g.depLog)
 	if d > g.ringLen {
 		d = g.ringLen
 	}
@@ -293,13 +310,15 @@ func (g *Generator) at(d int) isa.Reg {
 	return g.ring[idx]
 }
 
-// geometric draws from Geom(p) (number of failures before first success).
-func (g *Generator) geometric(p float64) int {
+// geometric draws from Geom(p) (number of failures before first success),
+// given logQ = math.Log(1-p). p is fixed per call site, so callers pass
+// the logarithm computed once instead of taking it on every draw.
+func (g *Generator) geometric(logQ float64) int {
 	u := g.rng.Float64()
 	if u >= 1 {
 		u = math.Nextafter(1, 0)
 	}
-	return int(math.Log(1-u) / math.Log(1-p))
+	return int(math.Log(1-u) / logQ)
 }
 
 // Region base offsets within a thread's address space; regions never
@@ -337,7 +356,7 @@ func (g *Generator) pickAddr() uint64 {
 // pickSite chooses a site index within a pool, geometrically skewed toward
 // the pool's hot low-numbered sites.
 func (g *Generator) pickSite(pool int) int {
-	s := g.geometric(siteSkewP)
+	s := g.geometric(siteSkewLog)
 	if s >= pool {
 		s = g.rng.Intn(pool)
 	}
