@@ -397,19 +397,16 @@ func (c *Coordinator) RunAll(ctx context.Context, cfgs []pipeline.Config) ([]*pi
 }
 
 // RunSampled runs one configuration as a SMARTS-style sampled simulation
-// over the fleet: the functional-warming chain and checkpoints are
-// produced coordinator-side (one cheap pass), each measurement window is
-// dispatched as a checkpoint job sharded by the checkpoint's content
-// address, and the per-window results merge back into a whole-run
-// estimate. Window jobs ride the same retry/hedge/fallback machinery as
-// sweep points, so a sampled run survives the same fleet failures a
-// batch does, with bit-identical results by the determinism contract.
+// over the fleet: the functional-warming chain runs coordinator-side
+// (one cheap pass), each measurement window is dispatched as a checkpoint
+// job — sharded by the checkpoint's content address — as soon as the
+// chain takes its checkpoint, and the per-window results merge back into
+// a whole-run estimate. Window jobs ride the same retry/hedge/fallback
+// machinery as sweep points, so a sampled run survives the same fleet
+// failures a batch does, with bit-identical results by the determinism
+// contract.
 func (c *Coordinator) RunSampled(ctx context.Context, cfg pipeline.Config, o sample.Options) (*sample.Estimate, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	ckpts, err := sample.Checkpoints(cfg, o)
-	if err != nil {
 		return nil, err
 	}
 	wcfg := sample.WindowConfig(cfg, o)
@@ -417,31 +414,37 @@ func (c *Coordinator) RunSampled(ctx context.Context, cfg pipeline.Config, o sam
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*pipeline.Result, len(ckpts))
-	errs := make([]error, len(ckpts))
+	type window struct {
+		res *pipeline.Result
+		err error
+	}
+	var windows []*window
 	var wg sync.WaitGroup
-	for i := range ckpts {
+	err = sample.Stream(ctx, cfg, o, func(_ int, ckpt []byte) error {
+		w := &window{}
+		windows = append(windows, w)
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			// The shard key mirrors the backend's cache key for a
 			// checkpoint job: checkpoint digest prefix + window config
 			// key, so repeat runs of the same window hit the same node's
 			// cache.
-			key := snap.Digest(ckpts[i])[:16] + wkey
-			res, err := c.runJob(ctx, key, point{cfg: wcfg, ckpt: ckpts[i]})
-			if err != nil {
-				errs[i] = fmt.Errorf("window %d: %w", i, err)
-				return
-			}
-			results[i] = res
-		}(i)
-	}
+			key := snap.Digest(ckpt)[:16] + wkey
+			w.res, w.err = c.runJob(ctx, key, point{cfg: wcfg, ckpt: ckpt})
+		}()
+		return nil
+	})
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	if err != nil {
+		return nil, err
+	}
+	results := make([]*pipeline.Result, len(windows))
+	for i, w := range windows {
+		if w.err != nil {
+			return nil, fmt.Errorf("window %d: %w", i, w.err)
 		}
+		results[i] = w.res
 	}
 	return sample.Merge(results, o, cfg.MeasureInstructions)
 }

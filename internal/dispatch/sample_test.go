@@ -95,3 +95,23 @@ func TestRunSampledLocalFallback(t *testing.T) {
 		t.Fatalf("expected local fallbacks against a dead fleet: %+v", m)
 	}
 }
+
+// TestRunSampledRejectsOverlappingWindows checks the sampler's stream
+// rejects more windows than measured instructions (every window would
+// start at the same instruction) before any window is dispatched.
+func TestRunSampledRejectsOverlappingWindows(t *testing.T) {
+	c, err := New(Options{Backends: []string{"http://127.0.0.1:9"}, Attempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cfg := testCfg(t, "gcc", 3)
+	cfg.MeasureInstructions = 10
+	opt := sample.Options{Windows: 20, WindowInstructions: 100, DetailedWarmup: 100}
+	if _, err := c.RunSampled(context.Background(), cfg, opt); err == nil {
+		t.Fatal("RunSampled accepted 20 windows over 10 instructions")
+	}
+	if m := c.Metrics(); m.LocalFallbacks != 0 || m.Requests != 0 {
+		t.Fatalf("windows ran for a rejected config: %+v", m)
+	}
+}

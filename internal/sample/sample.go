@@ -18,8 +18,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"loosesim/internal/pipeline"
+	"loosesim/internal/pool"
 	"loosesim/internal/stats"
 )
 
@@ -67,36 +69,102 @@ func WindowConfig(cfg pipeline.Config, o Options) pipeline.Config {
 	return w
 }
 
-// Checkpoints runs the functional-warming chain: one machine fast-forwards
-// through the workload, pausing to snapshot at each window's warmup start.
-// The chain costs one pass of cache/predictor updates over the stream —
-// O(total instructions), but a small constant per instruction compared to
-// cycle-accurate simulation.
-func Checkpoints(cfg pipeline.Config, o Options) ([][]byte, error) {
+// chain is the functional-warming chain: one machine fast-forwards
+// through the workload, pausing to snapshot at each window's warmup
+// start. The chain costs one pass of cache/predictor updates over the
+// stream — O(total instructions), but a small constant per instruction
+// compared to cycle-accurate simulation.
+type chain struct {
+	mu     sync.Mutex
+	m      *pipeline.Machine
+	o      Options
+	warmup uint64   // the full config's warmup instructions
+	period uint64   // instructions between window starts
+	pos    uint64   // instructions warmed so far
+	next   int      // index of the next checkpoint to take
+	ahead  int      // checkpoints to take past the one asked for
+	ckpts  [][]byte // taken, not yet claimed
+	err    error    // the first error; the chain stops there
+}
+
+func newChain(cfg pipeline.Config, o Options, ahead int) (*chain, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	chain, err := pipeline.New(cfg)
+	period := cfg.MeasureInstructions / uint64(o.Windows)
+	if period == 0 {
+		return nil, fmt.Errorf("sample: %d windows over %d measured instructions would all start at the same instruction",
+			o.Windows, cfg.MeasureInstructions)
+	}
+	m, err := pipeline.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	period := cfg.MeasureInstructions / uint64(o.Windows)
-	ckpts := make([][]byte, o.Windows)
-	pos := uint64(0)
-	for i := 0; i < o.Windows; i++ {
-		measureStart := cfg.WarmupInstructions + uint64(i)*period
+	return &chain{m: m, o: o, warmup: cfg.WarmupInstructions, period: period,
+		ahead: ahead, ckpts: make([][]byte, o.Windows)}, nil
+}
+
+// checkpoint returns checkpoint i (each i once), warming forward to it,
+// and up to ahead checkpoints past it, unless the chain is already
+// there. It polls ctx before each checkpoint it takes. Concurrent
+// callers share the chain.
+func (c *chain) checkpoint(ctx context.Context, i int) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.err == nil && c.next <= i+c.ahead && c.next < c.o.Windows {
+		if c.err = ctx.Err(); c.err != nil {
+			break
+		}
+		measureStart := c.warmup + uint64(c.next)*c.period
 		warmStart := uint64(0)
-		if measureStart > o.DetailedWarmup {
-			warmStart = measureStart - o.DetailedWarmup
+		if measureStart > c.o.DetailedWarmup {
+			warmStart = measureStart - c.o.DetailedWarmup
 		}
-		if warmStart > pos {
-			chain.WarmForward(warmStart - pos)
-			pos = warmStart
+		if warmStart > c.pos {
+			c.m.WarmForward(warmStart - c.pos)
+			c.pos = warmStart
 		}
-		ckpts[i], err = chain.Snapshot()
+		c.ckpts[c.next], c.err = c.m.Snapshot()
+		c.next++
+	}
+	ckpt := c.ckpts[i]
+	c.ckpts[i] = nil
+	if ckpt == nil {
+		return nil, c.err
+	}
+	return ckpt, nil
+}
+
+// Stream runs the warming chain and hands each checkpoint to emit as soon
+// as it is taken, in window order. It polls ctx between checkpoints and
+// stops at the first error from the chain, ctx or emit.
+func Stream(ctx context.Context, cfg pipeline.Config, o Options, emit func(i int, ckpt []byte) error) error {
+	c, err := newChain(cfg, o, 0)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < o.Windows; i++ {
+		ckpt, err := c.checkpoint(ctx, i)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		if err := emit(i, ckpt); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Checkpoints collects the whole Stream: every window's checkpoint, in
+// window order.
+func Checkpoints(cfg pipeline.Config, o Options) ([][]byte, error) {
+	var ckpts [][]byte
+	err := Stream(context.Background(), cfg, o, func(_ int, ckpt []byte) error {
+		ckpts = append(ckpts, ckpt)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return ckpts, nil
 }
@@ -212,23 +280,42 @@ func Merge(results []*pipeline.Result, o Options, totalInstructions uint64) (*Es
 	return e, nil
 }
 
-// Run is the single-process sampler: Checkpoints, RunWindow per
-// window, Merge. It takes the same per-window path as serve's checkpoint
-// jobs and dispatch.RunSampled, so a local and a sharded estimate are
-// computed identically. Checkpoints carry generator state directly, so
-// every restore costs the same wherever its window falls in the stream
-// and windows may run in any order.
+// Run is the single-process sampler: the warming chain streams
+// checkpoints to windows on the shared worker pool (internal/pool), and
+// the results Merge in window order. Each window is a RunWindow, the
+// path serve's checkpoint jobs and dispatch.RunSampled take, and its
+// result depends only on its checkpoint, so the estimate is identical
+// to Checkpoints, then every window in order, then Merge — at any
+// GOMAXPROCS.
+//
+// The worker that claims window i advances the chain to checkpoint i,
+// so the chain runs while other workers run windows, and a checkpoint
+// waits in memory only until its worker claims it: at most one per
+// worker. A lone worker instead runs the whole chain before its first
+// window. Interleaving the two on one CPU shrinks the live heap the GC
+// paces against, and the extra collections cost more than holding the
+// checkpoints.
 func Run(ctx context.Context, cfg pipeline.Config, o Options) (*Estimate, error) {
-	ckpts, err := Checkpoints(cfg, o)
+	ahead := 0
+	if pool.Workers(o.Windows) == 1 {
+		ahead = o.Windows
+	}
+	c, err := newChain(cfg, o, ahead)
 	if err != nil {
 		return nil, err
 	}
 	wcfg := WindowConfig(cfg, o)
-	results := make([]*pipeline.Result, len(ckpts))
-	for i, ckpt := range ckpts {
-		if results[i], err = RunWindow(ctx, wcfg, ckpt); err != nil {
-			return nil, fmt.Errorf("sample: window %d: %w", i, err)
+	results := make([]*pipeline.Result, o.Windows)
+	err = pool.Run(ctx, "sample: window", o.Windows, func(i int) error {
+		ckpt, err := c.checkpoint(ctx, i)
+		if err != nil {
+			return err
 		}
+		results[i], err = RunWindow(ctx, wcfg, ckpt)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return Merge(results, o, cfg.MeasureInstructions)
 }

@@ -20,12 +20,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"loosesim/internal/obs"
 	"loosesim/internal/pipeline"
+	"loosesim/internal/pool"
 	"loosesim/internal/workload"
 )
 
@@ -180,40 +178,13 @@ func RunAllContext(ctx context.Context, cfgs []Config) ([]*Result, error) {
 		}
 	}
 	results := make([]*Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cfgs) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = fmt.Errorf("config %d: %w", i, err)
-					continue
-				}
-				res, err := runOne(ctx, cfgs[i])
-				if err != nil {
-					errs[i] = fmt.Errorf("config %d: %w", i, err)
-					continue
-				}
-				results[i] = res
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := pool.Run(ctx, "config", len(cfgs), func(i int) error {
+		res, err := runOne(ctx, cfgs[i])
+		results[i] = res
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }

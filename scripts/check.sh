@@ -57,6 +57,13 @@ go run ./cmd/loosim -bench apsi -dra -warmup 20000 -inst 60000 \
 	-intervals "$tmp/iv.csv" -events "$tmp/ev.jsonl" >/dev/null
 go run ./cmd/loopstat -events "$tmp/ev.jsonl" -intervals "$tmp/iv.csv" >/dev/null
 
+echo "==> sampler byte-identity across worker counts (loosim -sample at GOMAXPROCS 1 and 4)"
+# sample.Run streams checkpoints into a GOMAXPROCS-wide window pool; the
+# estimate must not depend on how many workers ran the windows.
+GOMAXPROCS=1 go run ./cmd/loosim -bench swim -dra -regread 5 -warmup 20000 -inst 60000 -sample 8 -json >"$tmp/sample1.json"
+GOMAXPROCS=4 go run ./cmd/loosim -bench swim -dra -regread 5 -warmup 20000 -inst 60000 -sample 8 -json >"$tmp/sample4.json"
+cmp "$tmp/sample1.json" "$tmp/sample4.json"
+
 echo "==> serving smoke (loosimd -selfcheck: submit over HTTP, cache hit, metrics)"
 go run ./cmd/loosimd -selfcheck -cache "$tmp/cache" >/dev/null
 
